@@ -64,6 +64,11 @@
 #                 interval), so the trajectory prices durability too
 #   make bench-smoke  one-iteration run of the interpreter benchmark,
 #                 part of `make verify` so the perf harness can't rot
+#   make perfbench-smoke  the benchmark module's own tests (perfbench/
+#                 is a separate Go module, so `go test ./...` at the
+#                 root skips it); TestPaperSmoke regenerates every
+#                 paper artifact and checks the committed output
+#                 digest end to end; part of `make verify`
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -71,9 +76,9 @@ BENCHCOUNT ?= 3
 BENCHPAIRS ?= 3
 BENCHLABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: verify test vet race chaos obs chaos-server soak soak-cluster crash fuzz gencheck bench bench-codegen bench-server bench-smoke
+.PHONY: verify test vet race chaos obs chaos-server soak soak-cluster crash fuzz gencheck bench bench-codegen bench-server bench-smoke perfbench-smoke
 
-verify: test vet gencheck race chaos obs chaos-server soak soak-cluster crash fuzz bench-smoke
+verify: test vet gencheck race chaos obs chaos-server soak soak-cluster crash fuzz bench-smoke perfbench-smoke
 
 test:
 	$(GO) build ./...
@@ -164,3 +169,6 @@ bench-server:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$' -benchtime 1x .
+
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...

@@ -27,6 +27,22 @@ func sharedSuite(b *testing.B) *exp.Suite {
 	return s
 }
 
+// replaySuite re-collects the matrix, outside the timer, from the
+// package engine's cache (warm after the first call). A suite caches
+// each program's traced replay, so a replay lane timed over a reused
+// suite would time a cache read after the first iteration; over a
+// fresh one it times the replay.
+func replaySuite(b *testing.B) *exp.Suite {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	s, err := exp.Collect()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 // BenchmarkTable1DeadCode regenerates Table 1: the dynamically dead
 // code left in because dead-branch elimination must stay off to keep
 // IFPROBBER/MFPixie branch numbering in sync.
@@ -237,11 +253,10 @@ func BenchmarkMotivation(b *testing.B) {
 // BenchmarkStaticVsDynamic regenerates the extension comparing static
 // profile prediction with simulated 1/2-bit hardware predictors.
 func BenchmarkStaticVsDynamic(b *testing.B) {
-	s := sharedSuite(b)
-	b.ResetTimer()
 	var rows []exp.DynRow
 	var err error
 	for i := 0; i < b.N; i++ {
+		s := replaySuite(b)
 		rows, err = exp.StaticVsDynamic(s)
 		if err != nil {
 			b.Fatal(err)
@@ -259,11 +274,10 @@ func BenchmarkStaticVsDynamic(b *testing.B) {
 // BenchmarkRunLengths regenerates the run-length distribution
 // extension.
 func BenchmarkRunLengths(b *testing.B) {
-	s := sharedSuite(b)
-	b.ResetTimer()
 	var rows []exp.RunLengthRow
 	var err error
 	for i := 0; i < b.N; i++ {
+		s := replaySuite(b)
 		rows, err = exp.RunLengths(s)
 		if err != nil {
 			b.Fatal(err)
@@ -514,11 +528,10 @@ func BenchmarkDisagreement(b *testing.B) {
 
 // BenchmarkTraceStudy regenerates the trace-selection extension.
 func BenchmarkTraceStudy(b *testing.B) {
-	s := sharedSuite(b)
-	b.ResetTimer()
 	var rows []exp.TraceRow
 	var err error
 	for i := 0; i < b.N; i++ {
+		s := replaySuite(b)
 		rows, err = exp.TraceStudy(s)
 		if err != nil {
 			b.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"branchprof/internal/ifprob"
 	"branchprof/internal/mfc"
 	"branchprof/internal/predict"
+	"branchprof/internal/vm"
 	"branchprof/internal/workloads"
 )
 
@@ -57,39 +58,61 @@ type DeadCodeRow struct {
 	OutputsEqual bool
 }
 
+// variantPairs measures every registered workload's first dataset
+// twice through the package engine: plain, and compiled under opts
+// and run under cfg. Each (workload, variant) is its own cell on the
+// engine's worker pool, so a slow variant never queues behind its
+// plain sibling. Outcomes land in preassigned slots, and the first
+// error in cell order names the first failing workload in registry
+// order, exactly as a serial loop would report it.
+func variantPairs(lane, variant string, opts mfc.Options, cfg vm.Config) ([]*workloads.Workload, [][2]*engine.Outcome, error) {
+	eng := Engine()
+	all := workloads.All()
+	outs := make([][2]*engine.Outcome, len(all))
+	err := eng.Parallel(2*len(all), func(c int) error {
+		w, v := all[c/2], c%2
+		ds := w.Datasets[0]
+		spec := engine.Spec{Name: w.Name, Source: w.Source, Dataset: ds.Name, Input: ds.Gen()}
+		what := w.Name
+		if v == 1 {
+			spec.Options, spec.Config = opts, cfg
+			what += " (" + variant + ")"
+		}
+		out, err := eng.Execute(spec)
+		if err != nil {
+			return fmt.Errorf("exp: %s measuring %s: %w", lane, what, err)
+		}
+		outs[c/2][v] = out
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return all, outs, nil
+}
+
 // Table1 measures each workload's first dataset under both compiler
 // configurations (the paper's double compile: once plain, once with
 // dead-branch elimination). Both measurements route through the
 // engine, so repeated table generations — and the plain half, which
 // the suite collection also needs — are served from cache.
 func Table1() ([]DeadCodeRow, error) {
-	eng := Engine()
-	var rows []DeadCodeRow
-	for _, w := range workloads.All() {
-		ds := w.Datasets[0]
-		input := ds.Gen()
-		plain, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: ds.Name, Input: input,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: table1 measuring %s: %w", w.Name, err)
-		}
-		dce, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: ds.Name, Input: input,
-			Options: mfc.Options{DeadBranchElim: true},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: table1 measuring %s (DCE): %w", w.Name, err)
-		}
+	all, outs, err := variantPairs("table1", "DCE", mfc.Options{DeadBranchElim: true}, vm.Config{})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]DeadCodeRow, len(all))
+	for i, w := range all {
+		plain, dce := outs[i][0], outs[i][1]
 		dead := 0.0
 		if plain.Res.Instrs > 0 && dce.Res.Instrs < plain.Res.Instrs {
 			dead = 1 - float64(dce.Res.Instrs)/float64(plain.Res.Instrs)
 		}
-		rows = append(rows, DeadCodeRow{
-			Program: w.Name, Dataset: ds.Name,
+		rows[i] = DeadCodeRow{
+			Program: w.Name, Dataset: w.Datasets[0].Name,
 			Plain: plain.Res.Instrs, DCE: dce.Res.Instrs, DeadPct: dead,
 			OutputsEqual: bytes.Equal(plain.Res.Output, dce.Res.Output) && plain.Res.ExitCode == dce.Res.ExitCode,
-		})
+		}
 	}
 	return rows, nil
 }

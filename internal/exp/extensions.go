@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"branchprof/internal/dynpred"
+	"branchprof/internal/engine"
 	"branchprof/internal/predict"
 	"branchprof/internal/runlength"
 	"branchprof/internal/vm"
@@ -43,40 +44,78 @@ func toDirs(pr *predict.Prediction) []bool {
 	return dirs
 }
 
-// tracedPredictors builds the full predictor set for one measured run
-// — self and sum-of-others static tables plus the dynamic zoo — and
-// replays the run once with everything attached to the identical
-// branch stream. Returns the predictors in order (self, others,
-// 1-bit, 2-bit, two-level, gshare, bimode) plus the replay's result.
-// extra tracers (e.g. a runlength recorder) observe the same stream.
-func tracedPredictors(p *ProgramRuns, r *Run, extra ...vm.Tracer) ([]dynpred.Predictor, *vm.Result, error) {
+// replay is one traced execution of a measured run with every
+// observer the replay lanes read attached to the identical branch
+// stream, so StaticVsDynamic, InstrsPerMispredict, H2PStudy,
+// RunLengths and TraceStudy all report on one execution.
+type replay struct {
+	// res carries per-instruction counts (vm.Config.PerPC) for
+	// TraceStudy's CFG weights.
+	res *vm.Result
+	// preds is the predictor set in report order: self, others,
+	// 1-bit, 2-bit, two-level, gshare, bimode.
+	preds []dynpred.Predictor
+	// sites characterizes every branch site's outcome stream.
+	sites *runlength.SiteRecorder
+	// runs records break-to-break distances under self prediction,
+	// closed with the tail run.
+	runs *runlength.Recorder
+}
+
+// replayRun replays p.Runs[i] once through the package engine with
+// the full predictor set — self and sum-of-the-other-datasets static
+// tables plus the dynamic zoo — a per-site recorder and a run-length
+// recorder under the self prediction. Programs with a single dataset
+// reuse self as "others". A traced spec is never cached, so the
+// engine runs it fresh through its fault-instrumented run stage.
+func replayRun(p *ProgramRuns, i int) (*replay, error) {
+	r := p.Runs[i]
 	self, err := selfPrediction(p, r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	others := self
 	if p.Multi() {
-		others, err = predict.Combine(p.OtherProfiles(0), predict.Scaled, p.Prog.Sites, predict.LoopHeuristic)
+		others, err = predict.Combine(p.OtherProfiles(i), predict.Scaled, p.Prog.Sites, predict.LoopHeuristic)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	preds := []dynpred.Predictor{
-		dynpred.NewStatic("self", toDirs(self)),
-		dynpred.NewStatic("others", toDirs(others)),
+	rp := &replay{
+		preds: append([]dynpred.Predictor{
+			dynpred.NewStatic("self", toDirs(self)),
+			dynpred.NewStatic("others", toDirs(others)),
+		}, dynpred.Zoo(len(p.Prog.Sites))...),
+		sites: runlength.NewSites(len(p.Prog.Sites)),
+		runs:  runlength.New(self),
 	}
-	preds = append(preds, dynpred.Zoo(len(p.Prog.Sites))...)
-	multi := &dynpred.Multi{Predictors: preds, Extra: extra}
-	// Traced replays observe the execution, so the engine runs them
-	// fresh (never from cache) while still counting them in stats.
-	res, err := Engine().Run(p.Prog, "", p.InputFor(r), &vm.Config{Trace: multi})
+	multi := &dynpred.Multi{Predictors: rp.preds, Extra: []vm.Tracer{rp.sites, rp.runs}}
+	out, err := Engine().Execute(engine.Spec{
+		Name: p.Workload.Name, Source: p.Workload.Source,
+		Dataset: r.Dataset, Input: p.InputFor(r),
+		Config: vm.Config{Trace: multi, PerPC: true},
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("exp: dynamic replay of %s: %w", p.Workload.Name, err)
+		return nil, err
 	}
 	if err := multi.Err(); err != nil {
-		return nil, nil, fmt.Errorf("exp: dynamic replay of %s: %w", p.Workload.Name, err)
+		return nil, err
 	}
-	return preds, res, nil
+	// Close the distribution with the tail run (last break → program
+	// exit); without it that stretch silently vanishes.
+	rp.runs.Finish(out.Res.Instrs)
+	rp.res = out.Res
+	return rp, nil
+}
+
+// firstReplay returns the suite's shared replay of p's first dataset,
+// computing it on the first call from whichever lane asks first. A
+// failed replay stays cached for the suite's lifetime — compute is
+// never retried (docs/ROBUSTNESS.md) — so every lane reports the same
+// cause under its own prefix.
+func (p *ProgramRuns) firstReplay() (*replay, error) {
+	p.replayOnce.Do(func() { p.replayed, p.replayErr = replayRun(p, 0) })
+	return p.replayed, p.replayErr
 }
 
 // missRate is mispredicts per executed conditional branch, 0 for a
@@ -89,22 +128,22 @@ func missRate(pr dynpred.Predictor) float64 {
 	return float64(pr.Mispredicts()) / float64(pr.Executed())
 }
 
-// StaticVsDynamic replays each program's first dataset through the
-// VM with every predictor attached, measuring them on an identical
-// branch stream. Programs with several datasets also get the
-// sum-of-others static predictor; single-dataset programs reuse self.
-// Programs replay concurrently; each writes only its own row slot, so
-// the table order (and the first error reported) is identical to a
-// serial pass.
+// StaticVsDynamic reads each program's shared first-dataset replay,
+// which measured every predictor on an identical branch stream.
+// Programs with several datasets also get the sum-of-others static
+// predictor; single-dataset programs reuse self. Programs are read
+// concurrently; each writes only its own row slot, so the table order
+// (and the first error reported) is identical to a serial pass.
 func StaticVsDynamic(s *Suite) ([]DynRow, error) {
 	rows := make([]DynRow, len(s.Programs))
 	err := Engine().Parallel(len(s.Programs), func(i int) error {
 		p := s.Programs[i]
 		r := p.Runs[0]
-		preds, _, err := tracedPredictors(p, r)
+		rp, err := p.firstReplay()
 		if err != nil {
-			return err
+			return fmt.Errorf("exp: dynamic replay of %s: %w", p.Workload.Name, err)
 		}
+		preds := rp.preds
 		rows[i] = DynRow{
 			Program: p.Workload.Name, Dataset: r.Dataset,
 			SelfRate:     missRate(preds[0]),
@@ -173,26 +212,27 @@ func schemeIPM(pr dynpred.Predictor, instrs uint64) SchemeIPM {
 	}
 }
 
-// InstrsPerMispredict is the predictor-zoo lane: each program's first
-// dataset replayed once with the static profile predictors and every
-// dynamic scheme attached, reported in instructions-per-mispredict so
-// profile-fed static prediction and the hardware schemes — including
+// InstrsPerMispredict is the predictor-zoo lane: each program's
+// shared first-dataset replay, with the static profile predictors and
+// every dynamic scheme attached, reported in instructions-per-mispredict
+// so profile-fed static prediction and the hardware schemes — including
 // the history-based ones the paper predates — line up on the paper's
 // own axis.
-// Programs replay concurrently with one preassigned row slot each, so
-// output ordering matches the serial pass bit for bit.
+// Programs are read concurrently with one preassigned row slot each,
+// so output ordering matches the serial pass bit for bit.
 func InstrsPerMispredict(s *Suite) ([]SchemeIPMRow, error) {
 	rows := make([]SchemeIPMRow, len(s.Programs))
 	err := Engine().Parallel(len(s.Programs), func(i int) error {
 		p := s.Programs[i]
 		r := p.Runs[0]
-		preds, res, err := tracedPredictors(p, r)
+		rp, err := p.firstReplay()
 		if err != nil {
-			return err
+			return fmt.Errorf("exp: dynamic replay of %s: %w", p.Workload.Name, err)
 		}
-		row := SchemeIPMRow{Program: p.Workload.Name, Dataset: r.Dataset, Instrs: res.Instrs}
-		for _, pr := range preds {
-			row.Schemes = append(row.Schemes, schemeIPM(pr, res.Instrs))
+		instrs := rp.res.Instrs
+		row := SchemeIPMRow{Program: p.Workload.Name, Dataset: r.Dataset, Instrs: instrs}
+		for _, pr := range rp.preds {
+			row.Schemes = append(row.Schemes, schemeIPM(pr, instrs))
 		}
 		rows[i] = row
 		return nil
@@ -258,23 +298,24 @@ type H2PRow struct {
 // H2PStudy ranks each program's static branches by how expensive they
 // stay across every scheme (mispredicts per kilo-instruction, scored
 // by the best scheme's cost), following Lin & Tarsa's H2P framing:
-// the interesting branches are the ones history does not fix.
+// the interesting branches are the ones history does not fix. It
+// reads each program's shared first-dataset replay.
 func H2PStudy(s *Suite, n int) ([]H2PRow, error) {
 	rows := make([]H2PRow, len(s.Programs))
 	perr := Engine().Parallel(len(s.Programs), func(i int) error {
 		p := s.Programs[i]
 		r := p.Runs[0]
-		rec := runlength.NewSites(len(p.Prog.Sites))
-		preds, res, err := tracedPredictors(p, r, rec)
+		rp, err := p.firstReplay()
 		if err != nil {
-			return err
+			return fmt.Errorf("exp: dynamic replay of %s: %w", p.Workload.Name, err)
 		}
-		schemes := make([]runlength.SchemeMisses, len(preds))
-		for i, pr := range preds {
+		schemes := make([]runlength.SchemeMisses, len(rp.preds))
+		for i, pr := range rp.preds {
 			schemes[i] = runlength.SchemeMisses{Scheme: pr.Name(), Misses: pr.SiteMispredicts()}
 		}
-		entries := runlength.RankH2P(rec.Stats(), res.Instrs, schemes, n)
-		row := H2PRow{Program: p.Workload.Name, Dataset: r.Dataset, Instrs: res.Instrs}
+		instrs := rp.res.Instrs
+		entries := runlength.RankH2P(rp.sites.Stats(), instrs, schemes, n)
+		row := H2PRow{Program: p.Workload.Name, Dataset: r.Dataset, Instrs: instrs}
 		for _, e := range entries {
 			site := p.Prog.Sites[e.Stats.Site]
 			row.Top = append(row.Top, H2PSite{
@@ -336,31 +377,23 @@ type RunLengthRow struct {
 	Hist    string
 }
 
-// RunLengths replays each program's first dataset with a run-length
-// recorder under the self prediction. Replays run concurrently; row
-// slots are preassigned so the summary order matches a serial pass.
+// RunLengths reads the run-length recorder, under the self
+// prediction, of each program's shared first-dataset replay. Programs
+// are read concurrently; row slots are preassigned so the summary
+// order matches a serial pass.
 func RunLengths(s *Suite) ([]RunLengthRow, error) {
 	rows := make([]RunLengthRow, len(s.Programs))
 	perr := Engine().Parallel(len(s.Programs), func(i int) error {
 		p := s.Programs[i]
-		r := p.Runs[0]
-		self, err := selfPrediction(p, r)
-		if err != nil {
-			return err
-		}
-		rec := runlength.New(self)
-		res, err := Engine().Run(p.Prog, "", p.InputFor(r), &vm.Config{Trace: rec})
+		rp, err := p.firstReplay()
 		if err != nil {
 			return fmt.Errorf("exp: run-length replay of %s: %w", p.Workload.Name, err)
 		}
-		// Close the distribution with the tail run (last break →
-		// program exit); without it that stretch silently vanishes.
-		rec.Finish(res.Instrs)
 		rows[i] = RunLengthRow{
 			Program: p.Workload.Name,
-			Dataset: r.Dataset,
-			Stats:   rec.Summarize(),
-			Hist:    rec.Histogram(16),
+			Dataset: p.Runs[0].Dataset,
+			Stats:   rp.runs.Summarize(),
+			Hist:    rp.runs.Histogram(16),
 		}
 		return nil
 	})

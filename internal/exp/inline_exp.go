@@ -8,7 +8,7 @@ import (
 	"branchprof/internal/engine"
 	"branchprof/internal/mfc"
 	"branchprof/internal/predict"
-	"branchprof/internal/workloads"
+	"branchprof/internal/vm"
 )
 
 // InlineRow is the inlining ablation for one run: instructions per
@@ -39,44 +39,39 @@ func (r InlineRow) Speedup() float64 {
 // InlineAblation compiles every workload with and without the
 // inliner and measures the first dataset.
 func InlineAblation() ([]InlineRow, error) {
-	var rows []InlineRow
-	eng := Engine()
+	all, outs, err := variantPairs("inline ablation", "inlined", mfc.Options{InlineCalls: true}, vm.Config{})
+	if err != nil {
+		return nil, err
+	}
 	pol := breaks.Policy{PredictBranches: true, IncludeDirectCalls: true}
-	measure := func(w *workloads.Workload, opts mfc.Options, input []byte) (float64, uint64, uint64, error) {
-		out, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Options: opts,
-			Dataset: w.Datasets[0].Name, Input: input,
-		})
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("exp: inline ablation measuring %s: %w", w.Name, err)
-		}
+	selfIPB := func(out *engine.Outcome) (float64, error) {
 		pred, err := predict.FromProfile(out.Prof, out.Prog.Sites, predict.LoopHeuristic)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
 		ev, err := predict.Evaluate(pred, out.Prof)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
-		bd := breaks.Count(out.Res, ev.Mispredicts, pol)
-		return bd.InstrsPerBreak(), out.Res.DirectCalls, out.Res.Instrs, nil
+		return breaks.Count(out.Res, ev.Mispredicts, pol).InstrsPerBreak(), nil
 	}
-	for _, w := range workloads.All() {
-		input := w.Datasets[0].Gen()
-		plainIPB, plainCalls, plainInstrs, err := measure(w, mfc.Options{}, input)
+	rows := make([]InlineRow, len(all))
+	for i, w := range all {
+		plain, inl := outs[i][0], outs[i][1]
+		plainIPB, err := selfIPB(plain)
 		if err != nil {
 			return nil, err
 		}
-		inlIPB, inlCalls, inlInstrs, err := measure(w, mfc.Options{InlineCalls: true}, input)
+		inlIPB, err := selfIPB(inl)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, InlineRow{
+		rows[i] = InlineRow{
 			Program: w.Name, Dataset: w.Datasets[0].Name,
 			PlainIPB: plainIPB, InlinedIPB: inlIPB,
-			PlainCalls: plainCalls, InlinedCalls: inlCalls,
-			PlainInstrs: plainInstrs, InlinedInstrs: inlInstrs,
-		})
+			PlainCalls: plain.Res.DirectCalls, InlinedCalls: inl.Res.DirectCalls,
+			PlainInstrs: plain.Res.Instrs, InlinedInstrs: inl.Res.Instrs,
+		}
 	}
 	return rows, nil
 }

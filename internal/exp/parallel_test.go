@@ -10,6 +10,18 @@ import (
 // engine and concatenates the rendered artifacts.
 func studyRenders(t *testing.T, s *Suite) string {
 	t.Helper()
+	t1, err := Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inl, err := InlineAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := SelectStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dyn, err := StaticVsDynamic(s)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +46,10 @@ func studyRenders(t *testing.T, s *Suite) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return RenderStaticVsDynamic(dyn) +
+	return RenderTable1(t1) +
+		RenderInlineAblation(inl) +
+		RenderSelectStudy(sel) +
+		RenderStaticVsDynamic(dyn) +
 		RenderInstrsPerMispredict(ipm) +
 		RenderH2P(h2p) +
 		RenderRunLengths(rl) +
@@ -43,23 +58,29 @@ func studyRenders(t *testing.T, s *Suite) string {
 }
 
 // TestStudiesMatchSequential pins the parallelized experiment stages:
-// every study must render byte-identically whether its per-program
-// fan runs on one worker or sixteen. Slot preassignment — not
-// scheduling luck — is what the studies rely on for ordering, and
-// this is the regression gate for it.
+// every study must render byte-identically whether its fan runs on
+// one worker or sixteen. Slot preassignment — not scheduling luck — is
+// what the studies rely on for ordering, and this is the regression
+// gate for it. Each engine collects its own suite: a suite caches its
+// replays, so a reused suite would hand the second pass the first
+// pass's results.
 func TestStudiesMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite study sweep in -short mode")
 	}
-	s := suite(t)
 	prev := Engine()
 	defer SetEngine(prev)
 
-	SetEngine(engine.New(engine.Options{Workers: 1}))
-	seq := studyRenders(t, s)
-	SetEngine(engine.New(engine.Options{Workers: 16}))
-	wide := studyRenders(t, s)
-	if seq != wide {
+	render := func(workers int) string {
+		eng := engine.New(engine.Options{Workers: workers})
+		SetEngine(eng)
+		s, err := CollectWith(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return studyRenders(t, s)
+	}
+	if seq, wide := render(1), render(16); seq != wide {
 		t.Fatal("parallel studies render differently from sequential")
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"branchprof/internal/engine"
 	"branchprof/internal/isa"
 	"branchprof/internal/mfc"
 	"branchprof/internal/vm"
-	"branchprof/internal/workloads"
 )
 
 // SelectRow quantifies footnote 2 of the paper: when the compiler
@@ -28,24 +26,13 @@ type SelectRow struct {
 // SelectStudy compiles each workload with if-conversion and measures
 // its first dataset.
 func SelectStudy() ([]SelectRow, error) {
-	var rows []SelectRow
-	eng := Engine()
-	for _, w := range workloads.All() {
-		input := w.Datasets[0].Gen()
-		plain, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: w.Datasets[0].Name, Input: input,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: select study measuring %s: %w", w.Name, err)
-		}
-		sel, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: w.Datasets[0].Name, Input: input,
-			Options: mfc.Options{UseSelects: true},
-			Config:  vm.Config{PerPC: true},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: select study measuring %s (selects): %w", w.Name, err)
-		}
+	all, outs, err := variantPairs("select study", "selects", mfc.Options{UseSelects: true}, vm.Config{PerPC: true})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SelectRow, len(all))
+	for i, w := range all {
+		plain, sel := outs[i][0], outs[i][1]
 		var selects uint64
 		for fi := range sel.Prog.Funcs {
 			for pc, in := range sel.Prog.Funcs[fi].Code {
@@ -65,7 +52,7 @@ func SelectStudy() ([]SelectRow, error) {
 		if pb := plain.Res.CondBranches(); pb > 0 {
 			row.BranchesCut = 1 - float64(sel.Res.CondBranches())/float64(pb)
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
 }

@@ -30,6 +30,11 @@ type ProgramRuns struct {
 	Workload *workloads.Workload
 	Prog     *isa.Program
 	Runs     []*Run
+
+	// The shared traced replay of Runs[0] (see firstReplay).
+	replayOnce sync.Once
+	replayed   *replay
+	replayErr  error
 }
 
 // OtherProfiles returns the profiles of every dataset except index i —

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"branchprof/internal/cfg"
-	"branchprof/internal/engine"
 	"branchprof/internal/predict"
-	"branchprof/internal/vm"
 )
 
 // TraceRow measures what the predictions are *for*: the traces a
@@ -31,24 +29,19 @@ type TraceRow struct {
 }
 
 // TraceStudy rebuilds every function's CFG from the compiled code,
-// attaches the run's exact counts, and runs trace selection under
-// each regime. Programs are measured concurrently with preassigned
-// row slots, so the table order matches a serial pass exactly.
+// attaches the exact counts of each program's shared first-dataset
+// replay, and runs trace selection under each regime. Programs are
+// measured concurrently with preassigned row slots, so the table
+// order matches a serial pass exactly.
 func TraceStudy(s *Suite) ([]TraceRow, error) {
 	rows := make([]TraceRow, len(s.Programs))
-	eng := Engine()
-	perr := eng.Parallel(len(s.Programs), func(pi int) error {
+	perr := Engine().Parallel(len(s.Programs), func(pi int) error {
 		p := s.Programs[pi]
-		first := p.Runs[0]
-		out, err := eng.Execute(engine.Spec{
-			Name: p.Workload.Name, Source: p.Workload.Source,
-			Dataset: first.Dataset, Input: p.InputFor(first),
-			Config: vm.Config{PerPC: true},
-		})
+		rp, err := p.firstReplay()
 		if err != nil {
 			return fmt.Errorf("exp: trace study measuring %s: %w", p.Workload.Name, err)
 		}
-		res := out.Res
+		res := rp.res
 		heurDirs := make([]bool, len(p.Prog.Sites))
 		for i, site := range p.Prog.Sites {
 			heurDirs[i] = predict.LoopHeuristic(site) == predict.Taken
@@ -72,7 +65,7 @@ func TraceStudy(s *Suite) ([]TraceRow, error) {
 			g.AttachPrediction(p.Prog, fi, heurDirs)
 			heurTraces = append(heurTraces, g.SelectTraces()...)
 		}
-		row := TraceRow{Program: p.Workload.Name, Dataset: first.Dataset}
+		row := TraceRow{Program: p.Workload.Name, Dataset: p.Runs[0].Dataset}
 		if blockDen > 0 {
 			row.Block = blockNum / blockDen
 		}
