@@ -38,7 +38,8 @@
 #                 recovery; see docs/ROBUSTNESS.md "Durability contract"
 #   make fuzz     10s smoke of each native fuzz target (compiler,
 #                 assembler, profile DB decoder, run-cache decoder,
-#                 VM differential); longer runs: make fuzz FUZZTIME=5m
+#                 VM differential, predictor bank differential);
+#                 longer runs: make fuzz FUZZTIME=5m
 #   make gencheck the generated-code freshness gate: regenerating the
 #                 compiled workload bodies must leave the tree clean,
 #                 and the generated package (plus the generator) must
@@ -129,6 +130,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDBLoad -fuzztime $(FUZZTIME) ./internal/ifprob/
 	$(GO) test -run xxx -fuzz FuzzCacheDecode -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run xxx -fuzz FuzzVMDifferential -fuzztime $(FUZZTIME) ./internal/vm/
+	$(GO) test -run xxx -fuzz FuzzBank -fuzztime $(FUZZTIME) ./internal/dynpred/
 
 bench: bench-codegen
 	$(GO) test -run xxx -bench 'BenchmarkSuiteCollect(Cold|Warm)' -benchtime 3x .

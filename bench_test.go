@@ -408,9 +408,10 @@ func (r *streamRecorder) Branch(site int32, taken bool, _ uint64) {
 func (r *streamRecorder) Transfer(vm.TransferKind, uint64) {}
 
 // BenchmarkPredictorZoo measures predictor-simulation throughput: the
-// li sieve workload's branch stream replayed through the full zoo
-// (1-bit, 2-bit, two-level, gshare, bi-mode), reporting predictor
-// decisions per second — the marginal cost of attaching every scheme
+// li sieve workload's branch stream replayed through a dynpred.Bank
+// holding the full zoo (1-bit, 2-bit, two-level, gshare, bi-mode) —
+// the path traced replays and /v1/h2p take — reporting predictor
+// decisions per second: the marginal cost of attaching every scheme
 // to a traced run.
 func BenchmarkPredictorZoo(b *testing.B) {
 	w, err := workloads.ByName("li")
@@ -431,16 +432,17 @@ func BenchmarkPredictorZoo(b *testing.B) {
 	b.ResetTimer()
 	var decisions uint64
 	for i := 0; i < b.N; i++ {
-		preds := dynpred.Zoo(len(prog.Sites))
-		for _, ev := range rec.events {
-			for _, p := range preds {
-				p.Branch(ev.site, ev.taken, 0)
-			}
+		bank, err := dynpred.NewBank(len(prog.Sites), nil, nil, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
-		for _, p := range preds {
-			if p.Err() != nil {
-				b.Fatal(p.Err())
-			}
+		for _, ev := range rec.events {
+			bank.Branch(ev.site, ev.taken, 0)
+		}
+		if err := bank.Err(); err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range bank.Predictors() {
 			decisions += p.Executed()
 		}
 	}

@@ -1,8 +1,10 @@
 // Staticvsdynamic: attaches simulated hardware branch predictors
-// (1-bit last-direction and 2-bit saturating counter) to a run and
-// compares their mispredict rates with static profile prediction on
-// the identical branch stream — the trade-off the paper's "Static vs.
-// Dynamic Branch Prediction" section frames.
+// (1-bit last-direction and 2-bit saturating counter [Smith 81], plus
+// the history-based two-level, gshare and Bi-Mode schemes) to a run
+// through one dynpred.Bank and compares their mispredict rates with
+// static profile prediction on the identical branch stream — the
+// trade-off the paper's "Static vs. Dynamic Branch Prediction" section
+// frames.
 //
 // The demo program is a binary search over a sorted table: its
 // compare branch is the classic hard case for static prediction
@@ -82,16 +84,19 @@ func main() {
 	}
 
 	// Second run: measure every scheme on one branch stream.
-	static := dynpred.NewStatic("static-profile", dirs)
-	oneBit := dynpred.NewOneBit(len(prog.Sites))
-	twoBit := dynpred.NewTwoBit(len(prog.Sites))
-	multi := &dynpred.Multi{Predictors: []dynpred.Predictor{static, oneBit, twoBit}}
-	if _, err := eng.Run(prog, "", nil, &vm.Config{Trace: multi}); err != nil {
+	bank, err := dynpred.NewBank(len(prog.Sites), []*dynpred.Static{dynpred.NewStatic("static-profile", dirs)}, nil, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := eng.Run(prog, "", nil, &vm.Config{Trace: bank}); err != nil {
+		log.Fatal(err)
+	}
+	if err := bank.Err(); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("binary search over a sorted table: mispredict rates")
-	for _, p := range []dynpred.Predictor{static, oneBit, twoBit} {
+	for _, p := range bank.Predictors() {
 		fmt.Printf("  %-16s %6.2f%%  (%d of %d branches)\n",
 			p.Name(), 100*float64(p.Mispredicts())/float64(p.Executed()),
 			p.Mispredicts(), p.Executed())

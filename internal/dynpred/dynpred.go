@@ -19,11 +19,18 @@
 // counted and surfaced as a structured *SiteRangeError from Err()
 // instead of panicking the run — and every scheme attributes its
 // mispredicts per site, which the H2P characterization lane consumes.
+//
+// Each scheme's update rule lives in one step method, called both by
+// the scheme's own standalone Branch and by Bank, the tracer traced
+// runs attach: it drives static tables, the whole zoo and the
+// runlength recorders from one bounds check and one executed count
+// per event.
 package dynpred
 
 import (
 	"fmt"
 
+	"branchprof/internal/runlength"
 	"branchprof/internal/vm"
 )
 
@@ -70,49 +77,69 @@ func (e *SiteRangeError) Error() string {
 		e.Scheme, e.Sites, e.Count, e.First)
 }
 
-// core carries the bookkeeping every scheme shares: aggregate and
-// per-site executed/mispredict counters, and the bounds guard that
-// turns a stale site id into a structured error instead of a panic.
-type core struct {
-	name        string
-	sites       int
-	executed    uint64
-	mispredicts uint64
-	siteExec    []uint64
-	siteMiss    []uint64
-	oob         *SiteRangeError
+// tally counts the admitted branch events — in aggregate and per
+// site — and the events rejected at out-of-range sites. A standalone
+// predictor owns its tally; a Bank shares one across every observer it
+// holds, so one bounds check and one executed count serve them all.
+type tally struct {
+	executed uint64
+	site     []uint64
+	rejected uint64
+	first    int32 // first rejected site id
 }
 
-func newCore(name string, sites int) core {
+func newTally(sites int) *tally {
 	if sites < 0 {
 		sites = 0
 	}
-	return core{
-		name:     name,
-		sites:    sites,
-		siteExec: make([]uint64, sites),
-		siteMiss: make([]uint64, sites),
-	}
+	return &tally{site: make([]uint64, sites)}
 }
 
-// admit bounds-checks a site id, recording rejects on the error
-// surface. Every scheme's Branch must call it first and return early
-// on false, so the contract is identical across the zoo.
-func (c *core) admit(site int32) bool {
-	if site >= 0 && int(site) < c.sites {
+// admit bounds-checks a site id and counts the event as executed, or
+// records the reject on the error surface. Every observer of an event
+// must see admit's verdict first, so the contract is identical across
+// the zoo.
+func (t *tally) admit(site int32) bool {
+	if site >= 0 && int(site) < len(t.site) {
+		t.executed++
+		t.site[site]++
 		return true
 	}
-	if c.oob == nil {
-		c.oob = &SiteRangeError{Scheme: c.name, Sites: c.sites, First: site}
+	if t.rejected == 0 {
+		t.first = site
 	}
-	c.oob.Count++
+	t.rejected++
 	return false
 }
 
-// record books one admitted branch outcome.
-func (c *core) record(site int32, miss bool) {
-	c.executed++
-	c.siteExec[site]++
+// err surfaces the rejected events as a *SiteRangeError naming scheme,
+// or nil when none were rejected.
+func (t *tally) err(scheme string) error {
+	if t.rejected == 0 {
+		return nil
+	}
+	return &SiteRangeError{Scheme: scheme, Sites: len(t.site), First: t.first, Count: t.rejected}
+}
+
+// core carries the bookkeeping every scheme shares: the executed
+// tally, per-site mispredict counters and the scheme's name.
+type core struct {
+	name        string
+	t           *tally
+	mispredicts uint64
+	siteMiss    []uint64
+}
+
+func newCore(name string, sites int) core {
+	t := newTally(sites)
+	return core{name: name, t: t, siteMiss: make([]uint64, len(t.site))}
+}
+
+// sites is the table size the scheme was built for.
+func (c *core) sites() int { return len(c.t.site) }
+
+// miss books one admitted outcome's prediction result.
+func (c *core) miss(site int32, miss bool) {
 	if miss {
 		c.mispredicts++
 		c.siteMiss[site]++
@@ -123,24 +150,19 @@ func (c *core) record(site int32, miss bool) {
 func (c *core) Name() string { return c.name }
 
 // Executed implements Predictor.
-func (c *core) Executed() uint64 { return c.executed }
+func (c *core) Executed() uint64 { return c.t.executed }
 
 // Mispredicts implements Predictor.
 func (c *core) Mispredicts() uint64 { return c.mispredicts }
 
 // SiteExecuted implements Predictor.
-func (c *core) SiteExecuted() []uint64 { return c.siteExec }
+func (c *core) SiteExecuted() []uint64 { return c.t.site }
 
 // SiteMispredicts implements Predictor.
 func (c *core) SiteMispredicts() []uint64 { return c.siteMiss }
 
 // Err implements Predictor.
-func (c *core) Err() error {
-	if c.oob == nil {
-		return nil
-	}
-	return c.oob
-}
+func (c *core) Err() error { return c.t.err(c.name) }
 
 // Transfer implements vm.Tracer (every scheme here ignores non-branch
 // transfers).
@@ -172,17 +194,23 @@ type OneBit struct {
 // static branches.
 func NewOneBit(sites int) *OneBit {
 	p := &OneBit{core: newCore("1-bit", sites)}
-	p.last = make([]bool, p.sites)
+	p.last = make([]bool, p.sites())
 	return p
 }
 
 // Branch implements vm.Tracer.
 func (p *OneBit) Branch(site int32, taken bool, _ uint64) {
-	if !p.admit(site) {
-		return
+	if p.t.admit(site) {
+		p.miss(site, p.step(site, taken))
 	}
-	p.record(site, p.last[site] != taken)
+}
+
+// step predicts an admitted site, trains on the outcome and reports
+// whether the prediction missed.
+func (p *OneBit) step(site int32, taken bool) bool {
+	miss := p.last[site] != taken
 	p.last[site] = taken
+	return miss
 }
 
 // TwoBit is the saturating two-bit counter predictor [Smith 81]: per
@@ -197,7 +225,7 @@ type TwoBit struct {
 // NewTwoBit returns a two-bit predictor for sites static branches.
 func NewTwoBit(sites int) *TwoBit {
 	p := &TwoBit{core: newCore("2-bit", sites)}
-	p.state = make([]uint8, p.sites)
+	p.state = make([]uint8, p.sites())
 	for i := range p.state {
 		p.state[i] = 1
 	}
@@ -206,12 +234,17 @@ func NewTwoBit(sites int) *TwoBit {
 
 // Branch implements vm.Tracer.
 func (p *TwoBit) Branch(site int32, taken bool, _ uint64) {
-	if !p.admit(site) {
-		return
+	if p.t.admit(site) {
+		p.miss(site, p.step(site, taken))
 	}
+}
+
+// step predicts an admitted site, trains on the outcome and reports
+// whether the prediction missed.
+func (p *TwoBit) step(site int32, taken bool) bool {
 	s := p.state[site]
-	p.record(site, (s >= 2) != taken)
 	p.state[site] = bump(s, taken)
+	return (s >= 2) != taken
 }
 
 // Static adapts a fixed per-site direction table to the Predictor
@@ -229,10 +262,14 @@ func NewStatic(name string, dirs []bool) *Static {
 
 // Branch implements vm.Tracer.
 func (p *Static) Branch(site int32, taken bool, _ uint64) {
-	if !p.admit(site) {
-		return
+	if p.t.admit(site) {
+		p.miss(site, p.step(site, taken))
 	}
-	p.record(site, p.dirs[site] != taken)
+}
+
+// step reports whether the table mispredicts an admitted site.
+func (p *Static) step(site int32, taken bool) bool {
+	return p.dirs[site] != taken
 }
 
 // DefaultHistoryBits is the history register length the zoo's
@@ -271,7 +308,7 @@ type TwoLevel struct {
 func NewTwoLevel(sites, historyBits int) *TwoLevel {
 	bits := clampBits(historyBits)
 	p := &TwoLevel{core: newCore("two-level", sites), mask: 1<<bits - 1}
-	p.hist = make([]uint32, p.sites)
+	p.hist = make([]uint32, p.sites())
 	p.pattern = make([]uint8, 1<<bits)
 	for i := range p.pattern {
 		p.pattern[i] = 1 // weakly not-taken, like TwoBit
@@ -281,17 +318,22 @@ func NewTwoLevel(sites, historyBits int) *TwoLevel {
 
 // Branch implements vm.Tracer.
 func (p *TwoLevel) Branch(site int32, taken bool, _ uint64) {
-	if !p.admit(site) {
-		return
+	if p.t.admit(site) {
+		p.miss(site, p.step(site, taken))
 	}
+}
+
+// step predicts an admitted site, trains on the outcome and reports
+// whether the prediction missed.
+func (p *TwoLevel) step(site int32, taken bool) bool {
 	h := p.hist[site] & p.mask
 	s := p.pattern[h]
-	p.record(site, (s >= 2) != taken)
 	p.pattern[h] = bump(s, taken)
 	p.hist[site] = p.hist[site] << 1
 	if taken {
 		p.hist[site] |= 1
 	}
+	return (s >= 2) != taken
 }
 
 // GShare is McFarling's global-history predictor: one global shift
@@ -320,18 +362,29 @@ func NewGShare(sites, historyBits int) *GShare {
 
 // Branch implements vm.Tracer.
 func (p *GShare) Branch(site int32, taken bool, _ uint64) {
-	if !p.admit(site) {
-		return
+	if p.t.admit(site) {
+		p.miss(site, p.step(site, taken))
 	}
+}
+
+// step predicts an admitted site, trains on the outcome and reports
+// whether the prediction missed.
+func (p *GShare) step(site int32, taken bool) bool {
 	idx := (uint32(site) ^ p.ghr) & p.mask
 	s := p.table[idx]
-	p.record(site, (s >= 2) != taken)
 	p.table[idx] = bump(s, taken)
-	p.ghr = p.ghr << 1
+	p.ghr = shiftIn(p.ghr, taken, p.mask)
+	return (s >= 2) != taken
+}
+
+// shiftIn shifts an outcome into a global history register of mask's
+// width.
+func shiftIn(ghr uint32, taken bool, mask uint32) uint32 {
+	ghr <<= 1
 	if taken {
-		p.ghr |= 1
+		ghr |= 1
 	}
-	p.ghr &= p.mask
+	return ghr & mask
 }
 
 // BiMode is the Bi-Mode predictor [Lee, Chen and Mudge 97], the
@@ -377,9 +430,14 @@ func NewBiMode(sites, historyBits, choiceBits int) *BiMode {
 
 // Branch implements vm.Tracer.
 func (p *BiMode) Branch(site int32, taken bool, _ uint64) {
-	if !p.admit(site) {
-		return
+	if p.t.admit(site) {
+		p.miss(site, p.step(site, taken))
 	}
+}
+
+// step predicts an admitted site, trains on the outcome and reports
+// whether the prediction missed.
+func (p *BiMode) step(site int32, taken bool) bool {
 	idx := (uint32(site) ^ p.ghr) & p.mask
 	ci := uint32(site) & p.chMask
 	chooseTaken := p.choice[ci] >= 2
@@ -388,7 +446,6 @@ func (p *BiMode) Branch(site int32, taken bool, _ uint64) {
 		bank = p.takenT
 	}
 	pred := bank[idx] >= 2
-	p.record(site, pred != taken)
 	// Only the selected bank trains, preserving the banks' biases.
 	bank[idx] = bump(bank[idx], taken)
 	// The choice table trains toward the outcome, except when the
@@ -398,64 +455,128 @@ func (p *BiMode) Branch(site int32, taken bool, _ uint64) {
 	if !(pred == taken && chooseTaken != taken) {
 		p.choice[ci] = bump(p.choice[ci], taken)
 	}
-	p.ghr = p.ghr << 1
-	if taken {
-		p.ghr |= 1
+	p.ghr = shiftIn(p.ghr, taken, p.mask)
+	return pred != taken
+}
+
+// zoo holds one instance of every dynamic scheme at default sizing.
+type zoo struct {
+	oneBit   *OneBit
+	twoBit   *TwoBit
+	twoLevel *TwoLevel
+	gshare   *GShare
+	biMode   *BiMode
+}
+
+func newZoo(sites int) zoo {
+	return zoo{
+		oneBit:   NewOneBit(sites),
+		twoBit:   NewTwoBit(sites),
+		twoLevel: NewTwoLevel(sites, DefaultHistoryBits),
+		gshare:   NewGShare(sites, DefaultHistoryBits),
+		biMode:   NewBiMode(sites, DefaultHistoryBits, DefaultHistoryBits),
 	}
-	p.ghr &= p.mask
+}
+
+// list returns the schemes in report order.
+func (z *zoo) list() []Predictor {
+	return []Predictor{z.oneBit, z.twoBit, z.twoLevel, z.gshare, z.biMode}
 }
 
 // Zoo returns one fresh instance of every dynamic scheme at default
 // sizing, in report order: 1-bit, 2-bit, two-level, gshare, bimode.
-// Experiments attach the whole zoo via Multi so one VM run measures
-// every scheme on the identical branch stream.
+// Each is a standalone tracer; experiments measure the whole zoo
+// through a Bank, so one VM run measures every scheme on the identical
+// branch stream.
 func Zoo(sites int) []Predictor {
-	return []Predictor{
-		NewOneBit(sites),
-		NewTwoBit(sites),
-		NewTwoLevel(sites, DefaultHistoryBits),
-		NewGShare(sites, DefaultHistoryBits),
-		NewBiMode(sites, DefaultHistoryBits, DefaultHistoryBits),
-	}
+	z := newZoo(sites)
+	return z.list()
 }
 
-// Multi fans one branch stream out to several predictors so a single
-// (expensive) VM run measures every scheme at once.
-type Multi struct {
-	Predictors []Predictor
-	// Extra tracers (e.g. a runlength recorder) observing the same
-	// stream without being predictors.
-	Extra []vm.Tracer
+// Bank is the one tracer a traced run attaches: it measures static
+// direction tables and the whole Zoo on one branch stream, alongside
+// an optional per-site recorder and run-length recorder. Each event
+// is bounds-checked once and counted once — every predictor reads the
+// bank's shared executed counts — and each scheme's step is called
+// directly, so observing a run costs one interface call per event
+// rather than one per observer.
+//
+// An event at an out-of-range site touches no predictor, site
+// statistic or run length; Err reports it for every observer at once.
+type Bank struct {
+	t       *tally
+	statics []*Static
+	zoo
+	preds   []Predictor
+	siteRec *runlength.SiteRecorder // nil: off
+	runs    *runlength.Recorder     // nil: off
 }
+
+// NewBank returns a bank for a program with sites static branches. It
+// measures statics (fresh predictors, in order) and then a fresh Zoo;
+// siteRec and runs, when non-nil, observe the same admitted stream.
+// Every table and recorder must be sized for sites: the bank's single
+// bounds check stands in for all of theirs.
+func NewBank(sites int, statics []*Static, siteRec *runlength.SiteRecorder, runs *runlength.Recorder) (*Bank, error) {
+	b := &Bank{t: newTally(sites), statics: statics, zoo: newZoo(sites), siteRec: siteRec, runs: runs}
+	sites = len(b.t.site)
+	for _, s := range statics {
+		if len(s.dirs) != sites {
+			return nil, fmt.Errorf("dynpred: static table %q has %d sites, bank has %d", s.name, len(s.dirs), sites)
+		}
+		b.preds = append(b.preds, s)
+	}
+	if siteRec != nil && siteRec.Sites() != sites {
+		return nil, fmt.Errorf("dynpred: site recorder has %d sites, bank has %d", siteRec.Sites(), sites)
+	}
+	if runs != nil && runs.Sites() != sites {
+		return nil, fmt.Errorf("dynpred: run-length recorder has %d sites, bank has %d", runs.Sites(), sites)
+	}
+	for _, s := range statics {
+		s.t = b.t
+	}
+	for _, c := range []*core{&b.oneBit.core, &b.twoBit.core, &b.twoLevel.core, &b.gshare.core, &b.biMode.core} {
+		c.t = b.t
+	}
+	b.preds = append(b.preds, b.zoo.list()...)
+	return b, nil
+}
+
+// Predictors returns the bank's predictors in report order: the
+// static tables as given, then 1-bit, 2-bit, two-level, gshare,
+// bimode. They read live counts; callers must not feed them events.
+func (b *Bank) Predictors() []Predictor { return b.preds }
 
 // Branch implements vm.Tracer.
-func (m *Multi) Branch(site int32, taken bool, instrs uint64) {
-	for _, p := range m.Predictors {
-		p.Branch(site, taken, instrs)
+func (b *Bank) Branch(site int32, taken bool, instrs uint64) {
+	if !b.t.admit(site) {
+		return
 	}
-	for _, t := range m.Extra {
-		t.Branch(site, taken, instrs)
+	for _, s := range b.statics {
+		s.miss(site, s.step(site, taken))
+	}
+	b.oneBit.miss(site, b.oneBit.step(site, taken))
+	b.twoBit.miss(site, b.twoBit.step(site, taken))
+	b.twoLevel.miss(site, b.twoLevel.step(site, taken))
+	b.gshare.miss(site, b.gshare.step(site, taken))
+	b.biMode.miss(site, b.biMode.step(site, taken))
+	if b.siteRec != nil {
+		b.siteRec.Branch(site, taken, instrs)
+	}
+	if b.runs != nil {
+		b.runs.Branch(site, taken, instrs)
 	}
 }
 
-// Transfer implements vm.Tracer.
-func (m *Multi) Transfer(kind vm.TransferKind, instrs uint64) {
-	for _, p := range m.Predictors {
-		p.Transfer(kind, instrs)
-	}
-	for _, t := range m.Extra {
-		t.Transfer(kind, instrs)
+// Transfer implements vm.Tracer: only the run-length recorder reads
+// transfers (indirect calls and returns break a run).
+func (b *Bank) Transfer(kind vm.TransferKind, instrs uint64) {
+	if b.runs != nil {
+		b.runs.Transfer(kind, instrs)
 	}
 }
 
-// Err returns the first structured error any fanned-out predictor
-// accumulated, or nil. Callers attaching a Multi must check it after
-// the run, exactly as they would a single predictor's Err.
-func (m *Multi) Err() error {
-	for _, p := range m.Predictors {
-		if err := p.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Err reports the events rejected at out-of-range sites as one
+// *SiteRangeError covering every observer, or nil. Callers must check
+// it after every traced run.
+func (b *Bank) Err() error { return b.t.err("bank") }

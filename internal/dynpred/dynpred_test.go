@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"branchprof/internal/vm"
 )
 
 func feed(p Predictor, outcomes []bool) {
@@ -87,17 +85,6 @@ func TestStaticMatchesEvaluate(t *testing.T) {
 	}
 	if p.Name() != "x" {
 		t.Errorf("name = %q", p.Name())
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	a := NewOneBit(1)
-	b := NewTwoBit(1)
-	m := &Multi{Predictors: []Predictor{a, b}}
-	m.Branch(0, true, 1)
-	m.Transfer(vm.TransferCall, 2)
-	if a.Executed() != 1 || b.Executed() != 1 {
-		t.Error("multi did not fan out")
 	}
 }
 
@@ -306,55 +293,6 @@ func TestZooAttributionConsistent(t *testing.T) {
 	}
 }
 
-// --- Multi ≡ alone ---------------------------------------------------
-
-// TestMultiEquivalentToAlone: fanning a stream through Multi must
-// leave every predictor in exactly the state it reaches alone — Multi
-// is plumbing, not a scheme.
-func TestMultiEquivalentToAlone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		sites := rng.Intn(6) + 1
-		// Two identically constructed fleets.
-		together := Zoo(sites)
-		alone := Zoo(sites)
-		var tracers []Predictor
-		tracers = append(tracers, together...)
-		m := &Multi{Predictors: tracers}
-		n := rng.Intn(400)
-		for i := 0; i < n; i++ {
-			site := int32(rng.Intn(sites + 1)) // occasionally out of range
-			taken := rng.Intn(2) == 1
-			m.Branch(site, taken, uint64(i))
-			if rng.Intn(16) == 0 {
-				m.Transfer(vm.TransferCall, uint64(i))
-			}
-			for _, p := range alone {
-				p.Branch(site, taken, uint64(i))
-			}
-		}
-		for i := range together {
-			a, b := together[i], alone[i]
-			if a.Executed() != b.Executed() || a.Mispredicts() != b.Mispredicts() {
-				return false
-			}
-			am, bm := a.SiteMispredicts(), b.SiteMispredicts()
-			for j := range am {
-				if am[j] != bm[j] {
-					return false
-				}
-			}
-			if (a.Err() == nil) != (b.Err() == nil) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // --- the hardened tracer contract ------------------------------------
 
 // TestStaleSiteCountDoesNotPanic is the regression test for the
@@ -395,10 +333,13 @@ func TestStaleSiteCountDoesNotPanic(t *testing.T) {
 		t.Errorf("clean predictor Err() = %v", clean.Err())
 	}
 
-	// Multi surfaces the first predictor's contract violation.
-	m := &Multi{Predictors: Zoo(1)}
-	m.Branch(3, true, 0)
-	if m.Err() == nil {
-		t.Error("Multi.Err() = nil after fanning out an oob event")
+	// A bank surfaces the violation for every observer at once.
+	b, err := NewBank(1, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Branch(3, true, 0)
+	if b.Err() == nil {
+		t.Error("Bank.Err() = nil after an oob event")
 	}
 }

@@ -62,9 +62,9 @@ type replay struct {
 	runs *runlength.Recorder
 }
 
-// replayRun replays p.Runs[i] once through the package engine with
-// the full predictor set — self and sum-of-the-other-datasets static
-// tables plus the dynamic zoo — a per-site recorder and a run-length
+// replayRun replays p.Runs[i] once through the package engine with one
+// dynpred.Bank attached: self and sum-of-the-other-datasets static
+// tables plus the dynamic zoo, a per-site recorder and a run-length
 // recorder under the self prediction. Programs with a single dataset
 // reuse self as "others". A traced spec is never cached, so the
 // engine runs it fresh through its fault-instrumented run stage.
@@ -82,23 +82,26 @@ func replayRun(p *ProgramRuns, i int) (*replay, error) {
 		}
 	}
 	rp := &replay{
-		preds: append([]dynpred.Predictor{
-			dynpred.NewStatic("self", toDirs(self)),
-			dynpred.NewStatic("others", toDirs(others)),
-		}, dynpred.Zoo(len(p.Prog.Sites))...),
 		sites: runlength.NewSites(len(p.Prog.Sites)),
 		runs:  runlength.New(self),
 	}
-	multi := &dynpred.Multi{Predictors: rp.preds, Extra: []vm.Tracer{rp.sites, rp.runs}}
+	bank, err := dynpred.NewBank(len(p.Prog.Sites), []*dynpred.Static{
+		dynpred.NewStatic("self", toDirs(self)),
+		dynpred.NewStatic("others", toDirs(others)),
+	}, rp.sites, rp.runs)
+	if err != nil {
+		return nil, err
+	}
+	rp.preds = bank.Predictors()
 	out, err := Engine().Execute(engine.Spec{
 		Name: p.Workload.Name, Source: p.Workload.Source,
 		Dataset: r.Dataset, Input: p.InputFor(r),
-		Config: vm.Config{Trace: multi, PerPC: true},
+		Config: vm.Config{Trace: bank, PerPC: true},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := multi.Err(); err != nil {
+	if err := bank.Err(); err != nil {
 		return nil, err
 	}
 	// Close the distribution with the tail run (last break → program

@@ -25,9 +25,16 @@ import (
 type Recorder struct {
 	dirs      []bool // per-site predicted-taken
 	lastBreak uint64
-	runs      []uint64
-	oob       uint64 // branch events at out-of-range sites (skipped)
+	full      [][]uint64 // filled blocks of runChunk runs, in order
+	cur       []uint64   // the block being filled
+	oob       uint64     // branch events at out-of-range sites (skipped)
 }
+
+// runChunk is the length of each block of recorded runs. Blocks are
+// never copied as the record grows, so a replay with millions of breaks
+// allocates its distribution about once rather than re-copying it at
+// every append growth.
+const runChunk = 1 << 15
 
 // New builds a recorder for a prediction over the program's sites.
 func New(pred *predict.Prediction) *Recorder {
@@ -56,6 +63,9 @@ func (r *Recorder) Branch(site int32, taken bool, instrs uint64) {
 // the prediction's table (program/prediction shape mismatch).
 func (r *Recorder) OutOfRange() uint64 { return r.oob }
 
+// Sites returns the size of the prediction's site table.
+func (r *Recorder) Sites() int { return len(r.dirs) }
+
 // Transfer implements vm.Tracer.
 func (r *Recorder) Transfer(kind vm.TransferKind, instrs uint64) {
 	if kind == vm.TransferIndirectCall || kind == vm.TransferIndirectReturn {
@@ -64,8 +74,17 @@ func (r *Recorder) Transfer(kind vm.TransferKind, instrs uint64) {
 }
 
 func (r *Recorder) record(instrs uint64) {
-	r.runs = append(r.runs, instrs-r.lastBreak)
+	if len(r.cur) == runChunk {
+		r.full = append(r.full, r.cur)
+		r.cur = make([]uint64, 0, runChunk)
+	}
+	r.cur = append(r.cur, instrs-r.lastBreak)
 	r.lastBreak = instrs
+}
+
+// blocks returns the recorded runs as blocks in execution order.
+func (r *Recorder) blocks() [][]uint64 {
+	return append(r.full[:len(r.full):len(r.full)], r.cur)
 }
 
 // Finish records the tail run — the instructions between the final
@@ -81,8 +100,19 @@ func (r *Recorder) Finish(totalInstrs uint64) {
 	}
 }
 
-// Runs returns the recorded run lengths in execution order.
-func (r *Recorder) Runs() []uint64 { return r.runs }
+// Runs returns a copy of the recorded run lengths in execution order
+// (nil when none were recorded).
+func (r *Recorder) Runs() []uint64 {
+	n := len(r.full)*runChunk + len(r.cur)
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint64, 0, n)
+	for _, b := range r.blocks() {
+		out = append(out, b...)
+	}
+	return out
+}
 
 // Stats summarizes a run-length distribution.
 type Stats struct {
@@ -99,11 +129,11 @@ type Stats struct {
 
 // Summarize computes distribution statistics.
 func (r *Recorder) Summarize() Stats {
-	n := len(r.runs)
+	sorted := r.Runs()
+	n := len(sorted)
 	if n == 0 {
 		return Stats{}
 	}
-	sorted := append([]uint64(nil), r.runs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var sum, sumsq float64
 	for _, v := range sorted {
@@ -138,13 +168,15 @@ func (r *Recorder) Summarize() Stats {
 // renders an ASCII histogram.
 func (r *Recorder) Histogram(maxLog2 int) string {
 	buckets := make([]int, maxLog2+1)
-	for _, v := range r.runs {
-		b := 0
-		for v > 1 && b < maxLog2 {
-			v >>= 1
-			b++
+	for _, blk := range r.blocks() {
+		for _, v := range blk {
+			b := 0
+			for v > 1 && b < maxLog2 {
+				v >>= 1
+				b++
+			}
+			buckets[b]++
 		}
-		buckets[b]++
 	}
 	peak := 0
 	for _, c := range buckets {

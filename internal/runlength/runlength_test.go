@@ -1,6 +1,7 @@
 package runlength
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -323,5 +324,44 @@ func TestMPKI(t *testing.T) {
 	}
 	if v := MPKI(5, 0); v != 0 {
 		t.Errorf("MPKI with zero instrs = %v, want 0 (degenerate guard)", v)
+	}
+}
+
+// TestRunsSpanBlocks: a record longer than one storage block reads
+// back whole and in execution order through Runs, Summarize and
+// Histogram.
+func TestRunsSpanBlocks(t *testing.T) {
+	r := recorder(predict.Taken)
+	n := 2*runChunk + 3
+	var instrs uint64
+	want := make([]uint64, n)
+	for i := range want {
+		want[i] = uint64(i%7 + 1)
+		instrs += want[i]
+		r.Branch(0, false, instrs) // mispredicted: one break each
+	}
+	got := r.Runs()
+	if len(got) != n {
+		t.Fatalf("Runs has %d entries, want %d", len(got), n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("run %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+	if s := r.Summarize(); s.Count != n || s.Max != 7 || s.Median != 4 {
+		t.Errorf("Summarize = %+v", s)
+	}
+	// Lengths 1..7 fall in buckets 2^0 (1), 2^1 (2–3) and 2^2 (4–7).
+	total := 0
+	for _, line := range strings.Split(strings.TrimSpace(r.Histogram(3)), "\n") {
+		var b, lo, c int
+		if _, err := fmt.Sscanf(line, "2^%d (%d+) %d", &b, &lo, &c); err != nil {
+			t.Fatalf("histogram line %q: %v", line, err)
+		}
+		total += c
+	}
+	if total != n {
+		t.Errorf("histogram counts %d runs, want %d", total, n)
 	}
 }

@@ -70,6 +70,9 @@ func (s *SiteRecorder) Transfer(vm.TransferKind, uint64) {}
 // the recorder's tables (program/recorder shape mismatch).
 func (s *SiteRecorder) OutOfRange() uint64 { return s.oob }
 
+// Sites returns the number of static branches the recorder tracks.
+func (s *SiteRecorder) Sites() int { return len(s.total) }
+
 // SiteStats summarizes one static branch's outcome behaviour.
 type SiteStats struct {
 	Site     int

@@ -294,29 +294,32 @@ func (s *Server) handleH2PTraced(w http.ResponseWriter, r *http.Request) {
 		dirs[i] = d == predict.Taken
 	}
 
-	static := dynpred.NewStatic("profile", dirs)
-	preds := append([]dynpred.Predictor{static}, dynpred.Zoo(len(prog.Sites))...)
 	rec := runlength.NewSites(len(prog.Sites))
-	multi := &dynpred.Multi{Predictors: preds, Extra: []vm.Tracer{rec}}
+	bank, err := dynpred.NewBank(len(prog.Sites), []*dynpred.Static{dynpred.NewStatic("profile", dirs)}, rec, nil)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 
 	fuel := req.Fuel
 	if fuel == 0 || fuel > s.opts.MaxFuel {
 		fuel = s.opts.MaxFuel
 	}
-	res, err := s.eng.RunContext(r.Context(), prog, "", []byte(req.Input), &vm.Config{Fuel: fuel, Trace: multi})
+	res, err := s.eng.RunContext(r.Context(), prog, "", []byte(req.Input), &vm.Config{Fuel: fuel, Trace: bank})
 	s.feedEngineDiskHealth()
 	if err != nil {
 		code, msg := classify(err)
 		writeError(w, code, msg)
 		return
 	}
-	if err := multi.Err(); err != nil {
+	if err := bank.Err(); err != nil {
 		// Predictors sized from the compiled program can only trip this
 		// on an internal invariant violation — an honest 500.
 		writeError(w, http.StatusInternalServerError, "tracer contract violation: "+err.Error())
 		return
 	}
 
+	preds := bank.Predictors()
 	schemes := make([]runlength.SchemeMisses, len(preds))
 	for i, p := range preds {
 		schemes[i] = runlength.SchemeMisses{Scheme: p.Name(), Misses: p.SiteMispredicts()}

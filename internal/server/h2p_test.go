@@ -1,8 +1,17 @@
 package server
 
 import (
+	"context"
 	"net/http"
+	"reflect"
 	"testing"
+
+	"branchprof/internal/dynpred"
+	"branchprof/internal/ifprob"
+	"branchprof/internal/mfc"
+	"branchprof/internal/predict"
+	"branchprof/internal/runlength"
+	"branchprof/internal/vm"
 )
 
 // mixSrc has one easy branch (the loop, almost always taken) and one
@@ -143,4 +152,77 @@ func TestH2PTracedReport(t *testing.T) {
 	if v := s.m.h2pLastInstrs.Load(); v == 0 {
 		t.Error("branchprof_h2p_last_traced_instrs not set")
 	}
+}
+
+// TestH2PTracedMatchesStandalone pins the traced report to the
+// standalone schemes: the profile-fed static table, every zoo
+// predictor and a per-site recorder, each run over the same input on
+// its own, must rank the same entries with the same per-scheme costs
+// the single traced run reports.
+func TestH2PTracedMatchesStandalone(t *testing.T) {
+	s := newTestServer(t, Options{Concurrency: 2})
+	if code := doJSON(t, s, "POST", "/v1/profile", profileBody("count", "train", mixSrc, "aab"), nil); code != http.StatusOK {
+		t.Fatal("profile failed")
+	}
+	const input = "abaabbbabababaaaab"
+	var resp h2pTracedResponse
+	if code := doJSON(t, s, "POST", "/v1/h2p", h2pBody("count", "mixed", mixSrc, input, 0), &resp); code != http.StatusOK {
+		t.Fatalf("traced h2p = %d", code)
+	}
+
+	prog, err := s.eng.Compile("count", mixSrc, mfc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := s.store.Get(context.Background(), dbKey("count", "train"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := predict.Combine([]*ifprob.Profile{prof}, predict.Scaled, prog.Sites, predict.LoopHeuristic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := make([]bool, len(pr.Dir))
+	for i, d := range pr.Dir {
+		dirs[i] = d == predict.Taken
+	}
+	preds := append([]dynpred.Predictor{dynpred.NewStatic("profile", dirs)}, dynpred.Zoo(len(prog.Sites))...)
+	rec := runlength.NewSites(len(prog.Sites))
+	var instrs uint64
+	for _, tr := range append([]vm.Tracer{rec}, toTracers(preds)...) {
+		res, err := vm.Run(prog, []byte(input), &vm.Config{Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instrs = res.Instrs
+	}
+	schemes := make([]runlength.SchemeMisses, len(preds))
+	for i, p := range preds {
+		if err := p.Err(); err != nil {
+			t.Fatal(err)
+		}
+		schemes[i] = runlength.SchemeMisses{Scheme: p.Name(), Misses: p.SiteMispredicts()}
+	}
+	want := runlength.RankH2P(rec.Stats(), instrs, schemes, 0)
+
+	if resp.Instrs != instrs || len(resp.Top) != len(want) || len(want) == 0 {
+		t.Fatalf("traced report has %d entries over %d instrs, standalone %d over %d", len(resp.Top), resp.Instrs, len(want), instrs)
+	}
+	for i, e := range want {
+		got := resp.Top[i]
+		st := e.Stats
+		if got.Site != st.Site || got.Executed != st.Executed || got.TakenRate != st.TakenRate ||
+			got.Entropy != st.Entropy || got.MeanRun != st.MeanRun || got.MaxRun != st.MaxRun ||
+			got.Score != e.Score || !reflect.DeepEqual(got.MPKI, e.MPKI) {
+			t.Errorf("rank %d: traced %+v, standalone %+v", i, got, e)
+		}
+	}
+}
+
+func toTracers(preds []dynpred.Predictor) []vm.Tracer {
+	out := make([]vm.Tracer, len(preds))
+	for i, p := range preds {
+		out[i] = p
+	}
+	return out
 }
